@@ -295,6 +295,42 @@ class AffineExpr:
             return -((-lhs) // rhs)
         raise ValueError(f"unknown affine expr kind {self.kind}")
 
+    def python_source(self, dim_names: Sequence[str],
+                      sym_names: Sequence[str] = ()) -> str:
+        """A Python expression computing :meth:`evaluate` over named locals.
+
+        ``dim_names[i]`` / ``sym_names[i]`` name the integer locals bound to
+        ``d<i>`` / ``s<i>``.  The expression keeps :meth:`evaluate`'s exact
+        integer semantics and lhs-before-rhs order; a position beyond the
+        names given compiles to ``()[i]``, so it raises the same
+        ``IndexError`` as :meth:`evaluate`, and only when executed.
+        """
+        kind = self.kind
+        if kind == "dim" or kind == "sym":
+            names = dim_names if kind == "dim" else sym_names
+            try:
+                return names[self.value]
+            except IndexError:
+                return f"()[{self.value}]"
+        if kind == "const":
+            if not isinstance(self.value, int):
+                raise ValueError(
+                    f"affine constant {self.value!r} is not an integer")
+            return repr(int(self.value))
+        lhs = self.lhs.python_source(dim_names, sym_names)
+        rhs = self.rhs.python_source(dim_names, sym_names)
+        if kind == "add":
+            return f"({lhs} + {rhs})"
+        if kind == "mul":
+            return f"({lhs} * {rhs})"
+        if kind == "mod":
+            return f"({lhs} % {rhs})"
+        if kind == "floordiv":
+            return f"({lhs} // {rhs})"
+        if kind == "ceildiv":
+            return f"(-((-{lhs}) // {rhs}))"
+        raise ValueError(f"unknown affine expr kind {kind}")
+
     def is_pure_affine(self) -> bool:
         """True when mul/div/mod only involve constants on one side."""
         if self.kind in ("dim", "sym", "const"):

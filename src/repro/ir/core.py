@@ -399,11 +399,11 @@ class Operation:
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<Operation {self.name} #{self._uid}>"
 
+    # A uid hash fixes set iteration order.  Equality stays object's own
+    # identity test: a Python-level __eq__ would be called per element by
+    # every list.index/list.remove over op and block lists.
     def __hash__(self):
         return self._uid
-
-    def __eq__(self, other):
-        return self is other
 
 
 class UnregisteredOp(Operation):
@@ -543,11 +543,11 @@ class Block:
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<Block ^bb{self._uid} ({len(self.ops)} ops)>"
 
+    # A uid hash fixes set iteration order.  Equality stays object's own
+    # identity test: a Python-level __eq__ would be called per element by
+    # every list.index/list.remove over op and block lists.
     def __hash__(self):
         return self._uid
-
-    def __eq__(self, other):
-        return self is other
 
 
 # ---------------------------------------------------------------------------

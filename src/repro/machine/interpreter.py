@@ -17,10 +17,12 @@ threading and GPU models use.
 Execution engines
 -----------------
 
-Three engines execute the same IR with bit-identical observables
-(``engine="reference" | "compiled" | "jit"``).  ``compiled`` — the default
-cached-dispatch engine — is described below; ``jit`` goes further and
-translates blocks into generated Python source (:mod:`repro.machine.jit`).
+Four engines execute the same IR with bit-identical observables
+(``engine="reference" | "compiled" | "jit" | "vector"``).  ``compiled`` —
+the default cached-dispatch engine — is described below; ``jit`` goes
+further and translates blocks into generated Python source
+(:mod:`repro.machine.jit`); ``vector`` evaluates matched loop nests as
+whole-array numpy expressions (:mod:`repro.machine.vector`).
 
 Interpreting a table regeneration executes tens of millions of operations,
 so the cached-dispatch inner loop avoids all per-operation dispatch work:
@@ -35,6 +37,13 @@ so the cached-dispatch inner loop avoids all per-operation dispatch work:
   (``fir.array_coor``/``hlfir.designate`` feeding a single ``fir.load``,
   ``fir.store`` or ``hlfir.assign``) are fused into a single thunk that
   skips the intermediate :class:`ElementPtr` allocation.
+* affine maps and FIR descriptor ops (``fir.box_addr``, ``fir.box_dims``,
+  ``fir.coordinate_of``) are bound when their block is compiled: each
+  ``affine.load``/``affine.store``/``affine.apply`` map becomes generated
+  straight-line arithmetic (:meth:`AffineExpr.python_source`) instead of
+  a per-execution tree walk.  The tree walk,
+  :meth:`AffineMapAttr.evaluate`, stays the reference oracle: the
+  ``reference`` and ``vector`` engines still call it.
 * the ``max_ops`` limit is checked once per ``N`` executed operations
   (``N`` scales with ``max_ops``) instead of before every operation, and
 * statistics bumps go straight into a pre-fetched per-context ``Counter``
@@ -50,7 +59,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -1405,6 +1414,12 @@ del _name
 # at block-compile time (operands, results, attributes, stats category).
 # ---------------------------------------------------------------------------
 
+def _generic_thunk(interp, op):
+    """The op's ``_exec_`` handler bound to it: ``handler(interp, op, env)``."""
+    handler = Interpreter._resolve_handler(op.name)
+    return partial(handler.__get__(interp, type(interp)), op)
+
+
 def _mk_constant(interp, op):
     res = op.results[0]
     value = op.get_attr("value").value
@@ -1774,55 +1789,132 @@ def _mk_llvm_store(interp, op):
     return run
 
 
+@lru_cache(maxsize=4096)
+def _affine_factory(source: str) -> Callable:
+    """Compile one generated map factory; keyed by source text, since the
+    same few map shapes recur across ops, blocks and modules."""
+    namespace = {"_int": int}
+    exec(compile(source, "<affine map>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _affine_indexer(amap, operands) -> Callable[[Dict], Tuple[int, ...]]:
+    """``env -> index tuple`` for ``amap`` applied to ``operands``.
+
+    Generated once per op at block-compile time: each operand ``Value`` is
+    bound in a closure, read and ``int()``-ed once, and the map's results
+    are straight arithmetic (:meth:`AffineExpr.python_source`) instead of a
+    tree walk.  Every operand is a dim, with no symbols, like the
+    ``amap.evaluate(operand_values)`` calls of the reference engine.
+    """
+    dims = [f"d{i}" for i in range(len(operands))]
+    reads = "".join(f"        {d} = _int(env[v{i}])\n"
+                    for i, d in enumerate(dims))
+    results = "".join(r.python_source(dims) + ", " for r in amap.results)
+    source = (f"def factory({', '.join(f'v{i}' for i in range(len(dims)))}):\n"
+              f"    def index(env):\n{reads}"
+              f"        return ({results})\n"
+              f"    return index\n")
+    return _affine_factory(source)(*operands)
+
+
 def _mk_affine_load(interp, op):
     mem = op.operands[0]
-    index_vals = op.operands[1:]
-    amap = op.get_attr("map")
+    index = _affine_indexer(op.get_attr("map"), op.operands[1:])
     res = op.results[0]
     stats = interp.stats
 
     def run(env):
         memref_value = env[mem]
-        indices = amap.evaluate([int(env[v]) for v in index_vals])
+        indices = index(env)
         interp._ctx_counts["load"] += 1.0
         stats.total_ops += 1
         if type(memref_value) is Cell:
             env[res] = memref_value.value
-        elif indices:
-            env[res] = memref_value[tuple(indices)]
         else:
-            env[res] = memref_value[()]
+            env[res] = memref_value[indices]
     return run
 
 
 def _mk_affine_store(interp, op):
     val, mem = op.operands[0], op.operands[1]
-    index_vals = op.operands[2:]
-    amap = op.get_attr("map")
+    index = _affine_indexer(op.get_attr("map"), op.operands[2:])
     stats = interp.stats
 
     def run(env):
         memref_value = env[mem]
-        indices = amap.evaluate([int(env[v]) for v in index_vals])
+        indices = index(env)
         interp._ctx_counts["store"] += 1.0
         stats.total_ops += 1
         if type(memref_value) is Cell:
             memref_value.value = env[val]
         else:
-            memref_value[tuple(indices) if indices else ()] = env[val]
+            memref_value[indices] = env[val]
     return run
 
 
 def _mk_affine_apply(interp, op):
-    operand_vals = op.operands
-    amap = op.get_attr("map")
+    index = _affine_indexer(op.get_attr("map"), op.operands)
     res = op.results[0]
     stats = interp.stats
 
     def run(env):
-        env[res] = amap.evaluate([int(env[v]) for v in operand_vals])[0]
+        env[res] = index(env)[0]
         interp._ctx_counts["index_arith"] += 1.0
         stats.total_ops += 1
+    return run
+
+
+def _mk_fir_box_addr(interp, op):
+    box = op.operands[0]
+    res = op.results[0]
+    stats = interp.stats
+
+    def run(env):
+        env[res] = env[box]
+        interp._ctx_counts["load"] += 1.0
+        stats.total_ops += 1
+    return run
+
+
+def _mk_fir_box_dims(interp, op):
+    box_v, dim_v = op.operands[0], op.operands[1]
+    lower_res, extent_res, stride_res = op.results
+    stats = interp.stats
+
+    def run(env):
+        box = env[box_v]
+        dim = int(env[dim_v])
+        shape = box.shape if isinstance(box, (FortranArray, np.ndarray)) \
+            else (1,)
+        env[lower_res] = 1
+        env[extent_res] = int(shape[dim]) if dim < len(shape) else 1
+        env[stride_res] = 1
+        interp._ctx_counts["load"] += 1.0
+        stats.total_ops += 1
+    return run
+
+
+def _mk_fir_coordinate_of(interp, op):
+    # derived-type member access (``field``) keeps the generic handler
+    if op.get_attr("field") is not None:
+        return _generic_thunk(interp, op)
+    base_v = op.operands[0]
+    flat_v = op.operands[1] if len(op.operands) > 1 else None
+    res = op.results[0]
+    stats = interp.stats
+
+    def run(env):
+        base = env[base_v]
+        interp._ctx_counts["index_arith"] += 1.0
+        stats.total_ops += 1
+        flat = int(env[flat_v]) if flat_v is not None else 0
+        if isinstance(base, (FortranArray, np.ndarray)):
+            env[res] = ElementPtr(base, flat=flat)
+        elif isinstance(base, Cell):
+            env[res] = base
+        else:
+            raise InterpreterError("fir.coordinate_of on a non-array value")
     return run
 
 
@@ -1844,8 +1936,7 @@ def _mk_hlfir_designate(interp, op):
     # only the plain element-designator form is thunked; components and
     # sections (triplets) keep the generic handler
     if op.component is not None or op.triplets:
-        handler = Interpreter._resolve_handler(op.name)
-        return partial(handler.__get__(interp, type(interp)), op)
+        return _generic_thunk(interp, op)
     mem = op.memref
     index_vals = tuple(op.indices)
     res = op.results[0]
@@ -1877,6 +1968,9 @@ _THUNK_MAKERS: Dict[str, Callable] = {"arith.constant": _mk_constant,
                                       "affine.load": _mk_affine_load,
                                       "affine.store": _mk_affine_store,
                                       "affine.apply": _mk_affine_apply,
+                                      "fir.box_addr": _mk_fir_box_addr,
+                                      "fir.box_dims": _mk_fir_box_dims,
+                                      "fir.coordinate_of": _mk_fir_coordinate_of,
                                       "fir.array_coor": _mk_fir_array_coor,
                                       "hlfir.designate": _mk_hlfir_designate,
                                       "math.atan2": _mk_atan2}

@@ -18,9 +18,16 @@ division family, so all engines share one source of numeric truth;
 everything the generator cannot translate (parallel regions, calls, runtime
 intrinsics, unstructured control flow) falls back to the exact thunks the
 cached-dispatch engine would run, inside the generated function.  The
-result is observationally bit-identical to both other engines — printed
+result is observationally bit-identical to the other engines — printed
 output and :class:`~repro.machine.interpreter.ExecutionStats` — which the
 conformance oracle and ``tests/machine`` assert on every workload.
+
+Affine maps are bound at translation time: ``affine.load`` /
+``affine.store`` / ``affine.apply`` maps and ``affine.for`` bounds are
+inlined as plain integer arithmetic
+(:meth:`~repro.ir.attributes.AffineExpr.python_source`), so generated code
+never walks a map's expression tree.  That tree walk,
+``AffineMapAttr.evaluate``, stays the reference oracle.
 
 Why deferred counter flushing is exact: every statistics bump is an
 integer-valued float (``+= 1.0`` or an integer element count), and sums of
@@ -105,6 +112,16 @@ def _coor_fusable(op: Operation, follower: Optional[Operation]) -> bool:
         return follower.operands[1] is address \
             and follower.operands[0] is not address
     return False
+
+
+def _tuple(exprs: Sequence[str]) -> str:
+    return "(" + "".join(e + ", " for e in exprs) + ")"
+
+
+def _first(exprs: Sequence[str]) -> str:
+    """``amap.evaluate(...)[0]`` as inline source: every result is computed
+    (and may raise) before the first is taken."""
+    return exprs[0] if len(exprs) == 1 else f"{_tuple(exprs)}[0]"
 
 
 # ---------------------------------------------------------------------------
@@ -795,22 +812,33 @@ class _Emitter:
             self.w(f"    {element} = {value}")
             self.bump("store")
 
+    def affine_results(self, amap, operands: Sequence[Value]) -> List[str]:
+        """Inline arithmetic for ``amap``'s results over ``operands``.
+
+        Each operand is ``_int()``-ed once into a local (all operands are
+        dims, as in the other engines' ``amap.evaluate(operand_values)``),
+        then every result is a plain expression over those locals."""
+        dims = []
+        for value in operands:
+            var = self.tmp()
+            self.w(f"{var} = _int({self.read(value)})")
+            dims.append(var)
+        return [result.python_source(dims) for result in amap.results]
+
     def _emit_affine(self, op: Operation) -> None:
-        amap = self.bind(op.get_attr("map"), "m")
+        amap = op.get_attr("map")
         if op.name == "affine.apply":
-            operands = ", ".join(f"_int({self.read(v)})" for v in op.operands)
-            self.compute(op.results[0], f"{amap}.evaluate([{operands}])[0]")
+            self.compute(op.results[0],
+                         _first(self.affine_results(amap, op.operands)))
             self.bump("index_arith")
             return
         load = op.name == "affine.load"
         mem_index = 0 if load else 1
         mem = self.operand_var(op.operands[mem_index])
-        operands = ", ".join(f"_int({self.read(v)})"
-                             for v in op.operands[mem_index + 1:])
+        exprs = self.affine_results(amap, op.operands[mem_index + 1:])
         indices = self.tmp()
-        self.w(f"{indices} = {amap}.evaluate([{operands}])")
-        n_results = len(op.get_attr("map").results)
-        element = f"{mem}[tuple({indices})]" if n_results else f"{mem}[()]"
+        self.w(f"{indices} = {_tuple(exprs)}")
+        element = f"{mem}[{indices}]"
         if load:
             var = self.result_var(op.results[0])
             self.w(f"if type({mem}) is _Cell:")
@@ -970,15 +998,11 @@ class _Emitter:
         self._hoist_invariants(body_steps)
         body = op.regions[0].blocks[0]
         if op.name == "affine.for":
-            lower_map = self.bind(op.lower_bound_map, "m")
-            upper_map = self.bind(op.upper_bound_map, "m")
-            lower_ops = ", ".join(f"_int({self.read(v)})"
-                                  for v in op.lower_operands)
-            upper_ops = ", ".join(f"_int({self.read(v)})"
-                                  for v in op.upper_operands)
             lo, hi = self.tmp(), self.tmp()
-            self.w(f"{lo} = {lower_map}.evaluate([{lower_ops}])[0]")
-            self.w(f"{hi} = {upper_map}.evaluate([{upper_ops}])[0]")
+            lower = self.affine_results(op.lower_bound_map, op.lower_operands)
+            self.w(f"{lo} = {_first(lower)}")
+            upper = self.affine_results(op.upper_bound_map, op.upper_operands)
+            self.w(f"{hi} = {_first(upper)}")
             step = op.step_value
             inits = op.iter_args
         else:
@@ -1092,7 +1116,7 @@ class _Emitter:
 #: layout stored on disk, and the meaning of the fingerprint salt.  Bump
 #: whenever :class:`_Emitter` changes its output for the same input block —
 #: every persisted translation then misses cleanly.
-JIT_FORMAT_VERSION = 1
+JIT_FORMAT_VERSION = 2
 
 
 class _Translation:
