@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Interpreter benchmark: ops/sec for all four engines, to JSON.
+"""Interpreter benchmark: ops/sec for all three engines, to JSON.
 
 Compiles representative Polyhedron and stencil workloads once per flow
 (baseline Flang/FIR level and the standard-MLIR flow), then interprets each
@@ -12,9 +12,7 @@ module with
 * the ``jit`` trace-compiling engine (blocks and structured loop bodies
   translated into generated Python source, run as one code object, with a
   process-level translation cache and an amortization tier that keeps cold
-  small blocks on cached dispatch), and
-* the ``vector`` engine (matched affine/scf/fir loop nests evaluated as
-  whole-array numpy expressions with analytically synthesized statistics),
+  small blocks on cached dispatch),
 
 and writes wall time, dynamic op counts, ops/sec and the speedups per
 (workload, flow) to ``BENCH_interpreter.json`` so CI can track the
@@ -23,7 +21,7 @@ timed best-of-N runs on the same module (millisecond-scale rows keep
 sampling until a minimum measuring budget accumulates) — the steady state
 the compile daemon serves — which also exercises the jit engine's
 cross-interpreter translation cache.  Exits
-non-zero if any engine disagrees on statistics or program output (all four
+non-zero if any engine disagrees on statistics or program output (all three
 must be bit-identical), or if the cached-dispatch engine fails to beat the
 reference engine overall.
 
@@ -42,10 +40,7 @@ served (1.0 = zero re-translation of previously seen blocks) and
 * the jit engine falls behind cached dispatch on any row
   (``jit_vs_compiled`` < 1.0, with a small measurement-noise allowance —
   rows the amortization tier keeps on cached dispatch sit at ~1.0x by
-  design),
-* the vector engine's speedup over cached dispatch drops below 5.0x on
-  the stencil rows (``jacobi`` / ``tra-adv`` under the flang-fir flow —
-  the loop nests the whole-array evaluator exists for), or
+  design), or
 * a warm restart re-translates previously seen blocks
   (``warm_hit_rate`` ≤ 0.9 on any row) or its steady state falls outside
   noise of the in-process translation-cached steady state **overall**
@@ -99,10 +94,6 @@ JIT_ROW_FLOOR = 1.0
 #: regressions (translation overhead not amortizing) show up far below
 #: this band.
 JIT_ROW_NOISE = 0.95
-#: CI gate: whole-array evaluation must stay at least this much faster
-#: than cached dispatch on the stencil rows it was built for.
-VECTOR_STENCIL_FLOOR = 5.0
-VECTOR_STENCIL_ROWS = (("jacobi", "flang-fir"), ("tra-adv", "flang-fir"))
 #: CI gate: on a simulated warm restart (in-process translation cache
 #: dropped, persistent store kept, module rebuilt from source) the jit
 #: engine must serve more than this fraction of translation lookups from
@@ -249,15 +240,12 @@ def main() -> int:
                 # engines back-to-back before reporting it
                 new_s = min(new_s, timed_run(module, "compiled")[0])
                 jit_s = min(jit_s, timed_run(module, "jit")[0])
-            vec_s, vec = timed_run(module, "vector")
             warm = warm_start_run(source, flow, module, jit_s,
                                   stats_to_dict(ref.stats), ref.printed)
             ref_stats = stats_to_dict(ref.stats)
             stats_equal = stats_to_dict(new.stats) == ref_stats \
-                and stats_to_dict(jit.stats) == ref_stats \
-                and stats_to_dict(vec.stats) == ref_stats
-            output_equal = (ref.printed == new.printed == jit.printed
-                            == vec.printed)
+                and stats_to_dict(jit.stats) == ref_stats
+            output_equal = ref.printed == new.printed == jit.printed
             if not (stats_equal and output_equal and warm["identical"]):
                 mismatches += 1
             total_ops = new.stats.total_ops
@@ -274,10 +262,6 @@ def main() -> int:
                 "jit_ops_per_s": round(total_ops / max(jit_s, 1e-9)),
                 "jit_speedup": round(ref_s / max(jit_s, 1e-9), 2),
                 "jit_vs_compiled": round(new_s / max(jit_s, 1e-9), 2),
-                "vector_wall_s": round(vec_s, 4),
-                "vector_ops_per_s": round(total_ops / max(vec_s, 1e-9)),
-                "vector_speedup": round(ref_s / max(vec_s, 1e-9), 2),
-                "vector_vs_compiled": round(new_s / max(vec_s, 1e-9), 2),
                 # simulated warm restart: persistent translation store kept,
                 # in-process cache dropped, module rebuilt from source
                 "warm_hit_rate": warm["hit_rate"],
@@ -295,10 +279,9 @@ def main() -> int:
             ok = stats_equal and output_equal and warm["identical"]
             print(f"{name:10s} {flow:9s} {total_ops:>9} ops  "
                   f"ref {ref_s:6.3f}s  cached {new_s:6.3f}s  "
-                  f"jit {jit_s:6.3f}s  vec {vec_s:6.3f}s  "
+                  f"jit {jit_s:6.3f}s  "
                   f"cached {runs[-1]['speedup']:5.2f}x  "
                   f"jit/cached {runs[-1]['jit_vs_compiled']:5.2f}x  "
-                  f"vec/cached {runs[-1]['vector_vs_compiled']:5.2f}x  "
                   f"warm {warm['hit_rate']:4.2f} hit  "
                   f"{'OK' if ok else 'MISMATCH'}")
 
@@ -306,7 +289,6 @@ def main() -> int:
     total_ref = sum(r["baseline_wall_s"] for r in runs)
     total_new = sum(r["wall_s"] for r in runs)
     total_jit = sum(r["jit_wall_s"] for r in runs)
-    total_vec = sum(r["vector_wall_s"] for r in runs)
     report = {
         "benchmark": "interpreter_bench",
         "quick": quick,
@@ -316,17 +298,11 @@ def main() -> int:
         "total_wall_s": round(total_new, 4),
         "total_baseline_wall_s": round(total_ref, 4),
         "total_jit_wall_s": round(total_jit, 4),
-        "total_vector_wall_s": round(total_vec, 4),
         "overall_speedup": round(total_ref / max(total_new, 1e-9), 2),
         "best_speedup": best,
         "jit_overall_speedup": round(total_ref / max(total_jit, 1e-9), 2),
         "jit_vs_compiled_overall": round(total_new / max(total_jit, 1e-9), 2),
         "best_jit_vs_compiled": max(r["jit_vs_compiled"] for r in runs),
-        "vector_overall_speedup": round(total_ref / max(total_vec, 1e-9), 2),
-        "vector_vs_compiled_overall":
-            round(total_new / max(total_vec, 1e-9), 2),
-        "best_vector_vs_compiled":
-            max(r["vector_vs_compiled"] for r in runs),
         "warm_hit_rate_min": min(r["warm_hit_rate"] for r in runs),
         "warm_total_wall_s": round(sum(r["warm_wall_s"] for r in runs), 4),
         # aggregate over every row: single sub-millisecond rows carry
@@ -363,13 +339,6 @@ def main() -> int:
                       f"with {JIT_ROW_NOISE} noise allowance)",
                       file=sys.stderr)
                 failed = True
-            if (run["workload"], run["flow"]) in VECTOR_STENCIL_ROWS \
-                    and run["vector_vs_compiled"] < VECTOR_STENCIL_FLOOR:
-                print(f"FAIL: vector engine below the "
-                      f"{VECTOR_STENCIL_FLOOR}x stencil floor on "
-                      f"{run['workload']}/{run['flow']} "
-                      f"({run['vector_vs_compiled']}x)", file=sys.stderr)
-                failed = True
             if run["warm_lookups"] \
                     and run["warm_hit_rate"] <= WARM_HIT_RATE_FLOOR:
                 print(f"FAIL: warm-restart translation hit rate "
@@ -389,9 +358,6 @@ def main() -> int:
     print(f"OK: cached dispatch {report['overall_speedup']}x overall, "
           f"jit {report['jit_overall_speedup']}x overall "
           f"({report['jit_vs_compiled_overall']}x over cached dispatch), "
-          f"vector {report['vector_overall_speedup']}x overall "
-          f"({report['vector_vs_compiled_overall']}x over cached dispatch, "
-          f"best {report['best_vector_vs_compiled']}x), "
           f"engines bit-identical")
     return 0
 

@@ -32,18 +32,21 @@ from ..flows import ENGINES
 from .reduce import reduce_report
 
 
-def _parse_engines(spec: Optional[str]) -> Optional[List[str]]:
-    """``--engines compiled,jit`` selects interpreter engines (default all)."""
+def _parse_engines(spec: str) -> Optional[List[str]]:
+    """``--engines compiled,jit`` selects interpreter engines (default all).
+
+    An argparse ``type``: an unknown name is a usage error (exit 2)."""
     if not spec:
         return None
     wanted = [name.strip() for name in spec.split(",") if name.strip()]
     if not wanted:
-        raise SystemExit(f"--engines selected no engines "
-                         f"(known: {', '.join(ENGINES)})")
-    unknown = [name for name in wanted if name not in ENGINES]
-    if unknown:
-        raise SystemExit(f"unknown engine(s) {', '.join(unknown)} "
-                         f"(known: {', '.join(ENGINES)})")
+        raise argparse.ArgumentTypeError(
+            f"selected no engines (known: {', '.join(ENGINES)})")
+    for name in wanted:
+        if name not in ENGINES:
+            raise argparse.ArgumentTypeError(
+                f"unknown interpreter engine {name!r} "
+                f"(known: {', '.join(ENGINES)})")
     return wanted
 
 
@@ -125,14 +128,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # env, not a parameter: pool workers and nested services inherit it
         os.environ[NO_JIT_CACHE_ENV] = "1"
     configs = _parse_flows(args.flows)
-    engines = _parse_engines(args.engines)
     seeds = range(args.start, args.start + args.seeds)
 
     if args.chaos is not None:
         from .chaos import quarantine_demo, run_chaos
         report = run_chaos(
             seeds, range(args.chaos, args.chaos + args.chaos_plans),
-            configs=configs, engines=engines, jobs=max(2, args.jobs))
+            configs=configs, engines=args.engines, jobs=max(2, args.jobs))
         print(report.summary())
         demo = quarantine_demo(jobs=max(2, args.jobs))
         print(f"quarantine demo: counters {demo['counters']}, "
@@ -153,8 +155,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except DaemonUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_sweep(seeds, configs, engines=engines, max_workers=args.jobs,
-                       service=service, progress=progress)
+    report = run_sweep(seeds, configs, engines=args.engines,
+                       max_workers=args.jobs, service=service,
+                       progress=progress)
     print(report.summary())
     print(f"service counters: {report.service_counters}")
     if report.ok:
@@ -186,7 +189,7 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     store = None if args.no_incremental else get_function_store()
     with pipeline_settings(jobs=args.jobs, function_cache=store):
         report = check_seed(args.seed, configs,
-                            engines=_parse_engines(args.engines))
+                            engines=args.engines)
         kernel = generate(args.seed)
         print(f"seed {args.seed}: features: {', '.join(kernel.features)}")
         if report.ok:
@@ -229,7 +232,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument("--flows", help="comma-separated flow config labels "
                                        "(default: every registered flow + "
                                        "the no-opt baseline)")
-    run_p.add_argument("--engines",
+    run_p.add_argument("--engines", type=_parse_engines,
                        help="comma-separated interpreter engines to "
                             f"cross-check (default: {','.join(ENGINES)})")
     run_p.add_argument("--out", default="conformance-repros",
@@ -260,7 +263,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     repro_p = sub.add_parser("repro", help="re-check and shrink one seed")
     repro_p.add_argument("--seed", type=int, required=True)
     repro_p.add_argument("--flows")
-    repro_p.add_argument("--engines")
+    repro_p.add_argument("--engines", type=_parse_engines)
     repro_p.add_argument("--out", help="also write the repro file here")
     repro_p.add_argument("--no-reduce", action="store_true")
     repro_p.add_argument("--jobs", type=int, default=1, metavar="N",

@@ -144,16 +144,14 @@ class OptionsSchema:
 #: Interpreter engines an artifact can be executed on.  ``compiled`` is the
 #: cached-dispatch engine (per-block thunks); ``reference`` is the one-op
 #: reference engine; ``jit`` translates blocks into generated Python source
-#: (:mod:`repro.machine.jit`); ``vector`` evaluates matched loop nests as
-#: whole-array numpy expressions with analytically synthesized statistics
-#: (:mod:`repro.machine.vector`).  All of them must be observationally
+#: (:mod:`repro.machine.jit`).  All of them must be observationally
 #: identical — the conformance oracle runs every kernel on every engine and
 #: diffs the observables bit for bit.  The order matters: the first entry is
 #: the oracle's parity baseline.  Must stay in sync with
 #: ``repro.machine.interpreter.ENGINE_NAMES`` (a module-level import either
 #: way is a cycle through the flang driver; ``tests/flows`` asserts the
 #: sync instead).
-ENGINES = ("compiled", "reference", "jit", "vector")
+ENGINES = ("compiled", "reference", "jit")
 
 
 @dataclass(frozen=True)
@@ -162,8 +160,8 @@ class ExecutionContext:
 
     Stats depend on whether execution is parallel or offloaded, not on the
     exact core count, so the cache-key material buckets ``threads`` down to
-    a boolean.  ``engine`` names the interpreter engine; artifacts from the
-    two engines are cached separately so differential runs can compare them.
+    a boolean.  ``engine`` names the interpreter engine; artifacts from
+    each engine are cached separately so differential runs can compare them.
     """
 
     threads: int = 1

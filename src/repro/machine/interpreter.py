@@ -17,12 +17,11 @@ threading and GPU models use.
 Execution engines
 -----------------
 
-Four engines execute the same IR with bit-identical observables
-(``engine="reference" | "compiled" | "jit" | "vector"``).  ``compiled`` —
-the default cached-dispatch engine — is described below; ``jit`` goes
-further and translates blocks into generated Python source
-(:mod:`repro.machine.jit`); ``vector`` evaluates matched loop nests as
-whole-array numpy expressions (:mod:`repro.machine.vector`).
+Three engines execute the same IR with bit-identical observables
+(``engine="reference" | "compiled" | "jit"``).  ``compiled`` — the
+default cached-dispatch engine — is described below; ``jit`` goes further
+and translates blocks into generated Python source
+(:mod:`repro.machine.jit`).
 
 Interpreting a table regeneration executes tens of millions of operations,
 so the cached-dispatch inner loop avoids all per-operation dispatch work:
@@ -43,7 +42,7 @@ so the cached-dispatch inner loop avoids all per-operation dispatch work:
   straight-line arithmetic (:meth:`AffineExpr.python_source`) instead of
   a per-execution tree walk.  The tree walk,
   :meth:`AffineMapAttr.evaluate`, stays the reference oracle: the
-  ``reference`` and ``vector`` engines still call it.
+  ``reference`` engine still calls it.
 * the ``max_ops`` limit is checked once per ``N`` executed operations
   (``N`` scales with ``max_ops``) instead of before every operation, and
 * statistics bumps go straight into a pre-fetched per-context ``Counter``
@@ -194,14 +193,12 @@ _YIELD_OPS = frozenset({
     "scf.condition", "hlfir.yield_element", "fir.has_value"})
 
 
-#: The four interpreter engines.  ``reference`` executes one op at a time
-#: (string-built getattr dispatch), ``compiled`` caches per-block thunk
-#: lists, ``jit`` translates blocks (and structured loop bodies) into
-#: generated Python source (see :mod:`repro.machine.jit`), and ``vector``
-#: evaluates matched affine/scf/fir loop nests as whole-array numpy
-#: expressions with analytic statistics (see :mod:`repro.machine.vector`).
-#: All four are observationally bit-identical — output and statistics.
-ENGINE_NAMES = ("compiled", "reference", "jit", "vector")
+#: The three interpreter engines.  ``reference`` executes one op at a time
+#: (string-built getattr dispatch) and is the oracle, ``compiled`` caches
+#: per-block thunk lists, and ``jit`` translates blocks (and structured loop
+#: bodies) into generated Python source (see :mod:`repro.machine.jit`).
+#: All three are observationally bit-identical — output and statistics.
+ENGINE_NAMES = ("compiled", "reference", "jit")
 
 
 class Interpreter:
@@ -240,10 +237,6 @@ class Interpreter:
             from .jit import JitEngine
             self._jit = JitEngine(self)
             self._run_block = self._jit.run_block
-        elif engine == "vector":
-            from .vector import VectorEngine
-            self._vector = VectorEngine(self)
-            self._run_block = self._vector.run_block
         elif engine == "compiled":
             self._run_block = self._run_block_compiled
         else:

@@ -54,8 +54,6 @@ from . import semantics
 from .interpreter import (_BR_OPS, _COND_BR_OPS, _FLOAT_BINOPS, _INT_BINOPS,
                           _MATH_UNARY, _RETURN_OPS, _YIELD_OPS, _fusable,
                           Interpreter, InterpreterError)
-from .loop_patterns import (static_constant as _static_constant,
-                            static_trip_count as _static_trips)
 from .semantics import (CMPF, CMPI_SIGNED, CMPI_UNSIGNED, as_unsigned,
                         int_ceildiv, int_div, int_floordiv, int_rem, int_width)
 from .values import (Cell, ElementPtr, FortranArray, load_element,
@@ -1036,7 +1034,7 @@ class _Emitter:
             self.ind -= 1
             self._assign_loop_results(op, carried)
         else:  # fir.do_loop: inclusive bounds, direction from the step sign
-            static_step = _static_constant(op.operands[2])
+            static_step = static_constant(op.operands[2])
             if static_step is not None and static_step != 0:
                 # sign known at jit-compile time: emit one specialized loop
                 condition = f"{iv} <= {hi}" if static_step > 0 \
@@ -1355,13 +1353,47 @@ _PROMOTE_AFTER = 8
 _TRANSLATE_WORK = 1024
 
 
+def static_constant(value: Value):
+    """The Python value of ``value`` when defined by ``arith.constant``."""
+    op = getattr(value, "op", None)
+    if op is not None and op.name == "arith.constant":
+        return op.get_attr("value").value
+    return None
+
+
+def static_trip_count(op: Operation) -> Optional[int]:
+    """Trip count of a loop whose bounds fold at compile time, else None."""
+    if op.name == "affine.for":
+        if op.lower_operands or op.upper_operands:
+            return None
+        lo = op.lower_bound_map.evaluate([])[0]
+        hi = op.upper_bound_map.evaluate([])[0]
+        st = op.step_value
+        if st <= 0:
+            return None
+        return max(0, -((lo - hi) // st))
+    lo = static_constant(op.operands[0])
+    hi = static_constant(op.operands[1])
+    st = static_constant(op.operands[2])
+    if lo is None or hi is None or st is None:
+        return None
+    if op.name == "scf.for":
+        if st <= 0:
+            return None
+        return max(0, -((lo - hi) // st))
+    st = st if st != 0 else 1        # fir.do_loop: inclusive, step 0 -> 1
+    if st > 0:
+        return (hi - lo) // st + 1 if lo <= hi else 0
+    return (lo - hi) // (-st) + 1 if lo >= hi else 0
+
+
 def _estimated_work(block: Block) -> Optional[int]:
     """Rough op count one entry of ``block`` executes; ``None`` = unknown
     (a loop with runtime bounds — assume hot)."""
     total = 0
     for op in block.ops:
         if op.name in _INLINE_LOOPS and _loop_inlineable(op):
-            trips = _static_trips(op)
+            trips = static_trip_count(op)
             inner = _estimated_work(op.regions[0].blocks[0])
             if trips is None or inner is None:
                 return None

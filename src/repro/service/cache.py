@@ -9,8 +9,7 @@ store of :mod:`repro.service.sharded`:
 
 Keys embed a schema salt (:data:`repro.service.jobs.KEY_SCHEMA_VERSION`),
 so bumping the salt invalidates every previously persisted artifact without
-touching the store; ``CACHE_FORMAT`` guards the on-disk *layout* instead
-(a PR-1 ``objects/`` tree is migrated into shards on first open).
+touching the store; ``CACHE_FORMAT`` records the on-disk *layout* instead.
 Corrupt or truncated shards are treated as misses and overwritten on the
 next store, so a killed run can never poison the cache, and the disk
 footprint is bounded by an LRU byte budget (``byte_budget`` /

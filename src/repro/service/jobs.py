@@ -69,8 +69,7 @@ class CompileJob:
     threads: int = 1
     gpu: bool = False
     #: Interpreter engine the artifact's observables come from ("compiled"
-    #: cached-dispatch, "reference" one-op, "jit" trace-compiling, or
-    #: "vector" whole-array numpy).
+    #: cached-dispatch, "reference" one-op, or "jit" trace-compiling).
     engine: str = "compiled"
     #: Whether this job's compile may reuse (and feed) the process's
     #: per-function stage store.  Execution strategy, not artifact identity:

@@ -1,6 +1,6 @@
 """Sharded on-disk artifact store: hash-prefix fanout + LRU byte budget.
 
-The disk layout replaces the PR-1 one-file-per-artifact ``objects/`` tree:
+The on-disk layout:
 
     <cache_dir>/CACHE_FORMAT        layout version marker ("2")
     <cache_dir>/shards/<pp>.json    256 shard files, pp = key[:2]
@@ -29,11 +29,6 @@ Access stamps are persisted per entry on store; reads refresh them in an
 in-memory overlay that is folded into the shard the next time it is
 rewritten, so LRU ordering is exact within a process and
 least-recently-*stored* across processes.
-
-A legacy PR-1 store (``objects/<k[:2]>/<k>.json``) found at open time is
-migrated into shards once — see :meth:`ShardedStore._migrate_legacy` — so
-existing caches are never silently discarded.  Key material is untouched:
-the same ``KEY_SCHEMA_VERSION``-salted SHA-256 keys address both layouts.
 """
 
 from __future__ import annotations
@@ -52,8 +47,10 @@ from . import faults
 
 logger = logging.getLogger(__name__)
 
-#: On-disk layout version.  1 was the ``objects/`` one-file-per-artifact
-#: tree; 2 is the sharded layout this module implements.
+#: On-disk layout version of the sharded layout this module implements,
+#: written to ``CACHE_FORMAT``.  Version 1, a one-file-per-artifact tree,
+#: is not read: its keys predate the current ``KEY_SCHEMA_VERSION``, so
+#: every artifact in it would be a miss anyway.
 SHARDED_FORMAT = 2
 
 #: Number of shard files (two hex digits of the SHA-256 key).
@@ -118,7 +115,6 @@ class ShardedStore:
         self.corrupt_shards = 0
         self.corrupt_entries = 0
         self._adopt_marker()
-        self._migrate_legacy()
         for path in self._shards.glob("*.json"):
             try:
                 self._sizes[path.stem] = path.stat().st_size
@@ -283,57 +279,6 @@ class ShardedStore:
                 self.evictions += 1
             for prefix in dirty:
                 self._write_shard(prefix, shards[prefix])
-
-    # ------------------------------------------------------------- migration
-    def _migrate_legacy(self) -> None:
-        """Split a PR-1 ``objects/`` tree into shards, once, on open.
-
-        Every readable legacy artifact is folded into its shard file and the
-        legacy tree removed; unreadable ones are dropped (they were already
-        misses under the old layout's corrupt-entry rule).
-        """
-        legacy = self._dir / "objects"
-        if not legacy.is_dir():
-            return
-        migrated = 0
-        pending: Dict[str, Dict[str, Dict[str, Any]]] = {}
-        for path in legacy.rglob("*.json"):
-            key = path.stem
-            try:
-                with path.open("r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-            except (OSError, ValueError):
-                continue
-            if not isinstance(payload, dict):
-                continue
-            pending.setdefault(self._prefix(key), {})[key] = {
-                "a": self._stamp(), "p": payload}
-            migrated += 1
-        with self._lock:
-            for prefix, fresh in sorted(pending.items()):
-                entries = self._load_shard(prefix)
-                for key, entry in fresh.items():
-                    entries.setdefault(key, entry)
-                self._write_shard(prefix, entries)
-        # the shards now own the data; drop the legacy tree best-effort
-        for path in legacy.rglob("*.json"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        for sub in sorted(legacy.rglob("*"), reverse=True):
-            if sub.is_dir():
-                try:
-                    sub.rmdir()
-                except OSError:
-                    pass
-        try:
-            legacy.rmdir()
-        except OSError:
-            pass
-        if migrated:
-            logger.info("migrated %d legacy cache artifacts into %d shards",
-                        migrated, len(pending))
 
     # ----------------------------------------------------------------- stats
     def stats(self) -> Dict[str, int]:

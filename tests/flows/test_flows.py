@@ -230,3 +230,28 @@ class TestEngineNameSync:
         from repro.machine.interpreter import ENGINE_NAMES
         assert tuple(ENGINES) == tuple(ENGINE_NAMES)
         assert ENGINES[0] == "compiled"
+
+    def test_stale_engine_name_is_a_declared_error_everywhere(self, capsys):
+        """Old clients and scripts may still ask for the retired whole-array
+        engine; every entry point rejects the name with the same message."""
+        from repro.conformance.__main__ import main as conformance_main
+        from repro.dialects.builtin import ModuleOp
+        from repro.machine import Interpreter, InterpreterError
+
+        stale = "vector"
+        message = ("unknown interpreter engine 'vector' "
+                   "(known: compiled, reference, jit)")
+
+        service = CompileService(ArtifactCache())
+        report = service.submit([CompileJob("ours", "dotproduct",
+                                            engine=stale)])
+        assert report.failures == [("dotproduct", f"FlowError: {message}")]
+
+        with pytest.raises(InterpreterError) as excinfo:
+            Interpreter(ModuleOp([]), engine=stale)
+        assert str(excinfo.value) == message
+
+        with pytest.raises(SystemExit) as excinfo:
+            conformance_main(["run", "--engines", stale, "--no-daemon"])
+        assert excinfo.value.code == 2
+        assert f"argument --engines: {message}" in capsys.readouterr().err

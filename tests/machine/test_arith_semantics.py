@@ -1,6 +1,6 @@
 """Integer/float comparison and division semantics, plus dispatch-cache
-regression tests: both interpreter engines (compiled thunks and the one-op
-reference) must implement LLVM/MLIR arith semantics identically.
+regression tests: every interpreter engine (compiled thunks, the jit and
+the one-op reference) must implement LLVM/MLIR arith semantics identically.
 """
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from repro.dialects import arith
 from repro.dialects.builtin import ModuleOp
 from repro.dialects.func import FuncOp, ReturnOp
+from repro.flows import ENGINES as ENGINE_LIST
 from repro.ir import types as T
 from repro.ir.core import create_operation
 from repro.machine import Interpreter
@@ -16,8 +17,7 @@ from repro.service.serialization import stats_to_dict
 
 from ..conftest import run_flang, run_ours
 
-ENGINES = pytest.mark.parametrize("engine",
-                                  ["compiled", "reference", "jit", "vector"])
+ENGINES = pytest.mark.parametrize("engine", ENGINE_LIST)
 
 NAN = float("nan")
 

@@ -257,6 +257,38 @@ class TestGeneratorMechanics:
         with pytest.raises(Exception):
             Interpreter(ModuleOp([]), engine="turbo")
 
+    def test_static_trip_count_on_static_and_runtime_bounds(self):
+        """Constant bounds fold to a trip count (which sizes the
+        translate-on-first-entry estimate); a runtime bound yields None."""
+        from repro.dialects import arith, scf
+        from repro.ir import Block
+        from repro.ir import types as T
+        from repro.machine.jit import static_trip_count
+
+        def loop(trips):
+            block = Block()
+            lo = arith.ConstantOp(0, T.index)
+            hi = arith.ConstantOp(trips, T.index)
+            st = arith.ConstantOp(1, T.index)
+            block.add_ops([lo, hi, st])
+            op = scf.ForOp(lo.result, hi.result, st.result)
+            block.add_op(op)
+            op.regions[0].blocks[0].add_op(scf.YieldOp())
+            return op
+
+        assert static_trip_count(loop(8)) == 8
+        assert static_trip_count(loop(8192)) == 8192
+
+        # runtime bounds (block arguments) have no static trip count
+        block = Block()
+        arg = block.add_argument(T.index)
+        st = arith.ConstantOp(1, T.index)
+        block.add_op(st)
+        op = scf.ForOp(st.result, arg, st.result)
+        block.add_op(op)
+        op.regions[0].blocks[0].add_op(scf.YieldOp())
+        assert static_trip_count(op) is None
+
     def test_execution_limit_fires_inside_inlined_loop(self):
         source = _program("""
   integer :: i
